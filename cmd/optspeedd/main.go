@@ -238,7 +238,8 @@ func main() {
 	srv := service.New(svcCfg)
 	// Shutdown order matters: the job store's Close (inside srv.Close)
 	// cancels and drains jobs and writes a final snapshot through the
-	// persister, so the durable store must close after it.
+	// persister, so the durable store must close after it. srv.Close
+	// also closes the dispatcher, releasing its idle peer connections.
 	defer func() {
 		srv.Close()
 		if persistence != nil {

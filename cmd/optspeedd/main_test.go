@@ -49,6 +49,12 @@ func startDaemon(t *testing.T, bin, dataDir string, extra ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// A test that fails before its own kill must not leave the daemon
+	// running; after a kill, both calls just report the exit.
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
 	addrCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
@@ -216,7 +222,7 @@ func TestCrashRecoveryOverSIGKILL(t *testing.T) {
 		fmt.Fprintf(&slowNs, "%d", 4096+8*i)
 	}
 	slowSweep := `{"sweep":{"space":{"op":"optimize-snapped","ns":[` + slowNs.String() +
-		`],"stencils":["9-point-star"],"shapes":["square"],"machines":[{"type":"mesh"}]}}}`
+		`],"stencils":["9-star"],"shapes":["square"],"machines":[{"type":"mesh"}]}}}`
 	var slow wireJob
 	httpJSON(t, http.MethodPost, d.base+"/v2/jobs", slowSweep, &slow)
 	deadline := time.Now().Add(30 * time.Second)

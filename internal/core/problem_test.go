@@ -4,10 +4,20 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"optspeed/internal/partition"
 	"optspeed/internal/stencil"
 )
+
+// TestProblemSize pins Problem to three words: it is passed by value
+// into every cycle-time evaluation, so a wider stencil field would put
+// a block copy back on the model's hot path.
+func TestProblemSize(t *testing.T) {
+	if got := unsafe.Sizeof(Problem{}); got > 24 {
+		t.Fatalf("unsafe.Sizeof(Problem{}) = %d, want <= 24", got)
+	}
+}
 
 func TestProblemValidation(t *testing.T) {
 	if _, err := NewProblem(0, stencil.FivePoint, partition.Strip); err == nil {

@@ -155,6 +155,9 @@ func (d *Dispatcher) probe(ctx context.Context, base string, timeout time.Durati
 	if err != nil {
 		return false, 0, err
 	}
+	// A liveness probe must not park a pooled connection to a peer
+	// that may be dead or about to leave the roster.
+	req.Close = true
 	start := time.Now()
 	resp, err := d.hc.Do(req)
 	if err != nil {

@@ -2,9 +2,20 @@ package dispatch_test
 
 import (
 	"context"
+	"maps"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"optspeed/client"
+	"optspeed/internal/dispatch"
+	"optspeed/internal/service"
+	"optspeed/internal/sweep"
 )
 
 // TestClusterEndpoint covers GET /v2/cluster through the client SDK:
@@ -66,5 +77,81 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 	if st.Shards.ShardsPlanned == 0 || st.Shards.ShardsRetried == 0 {
 		t.Fatalf("scatter counters empty: %+v", st.Shards)
+	}
+}
+
+// closeCounter is a caller-supplied transport that records whether
+// anything asked it to close its idle connections.
+type closeCounter struct {
+	http.RoundTripper
+	closes atomic.Int64
+}
+
+func (c *closeCounter) CloseIdleConnections() { c.closes.Add(1) }
+
+// TestCloseReleasesOwnTransportOnly runs remote shards and a health
+// probe, then requires Close to shut every pooled connection to the
+// worker when the dispatcher built its own transport, and to leave a
+// caller-supplied client alone.
+func TestCloseReleasesOwnTransportOnly(t *testing.T) {
+	srv := service.New(service.Config{Engine: sweep.New(sweep.Options{})})
+	// The worker's reply goes out whole with a Content-Length, so the
+	// dispatcher reads each shard to EOF and pools its connection every
+	// time rather than only when the stream's last chunk was buffered.
+	whole := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, r)
+		maps.Copy(w.Header(), rec.Header())
+		w.Header().Set("Content-Length", strconv.Itoa(rec.Body.Len()))
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	})
+	var mu sync.Mutex
+	open := map[net.Conn]bool{}
+	ts := httptest.NewUnstartedServer(whole)
+	ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch st {
+		case http.StateNew:
+			open[c] = true
+		case http.StateClosed, http.StateHijacked:
+			delete(open, c)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	openConns := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(open)
+	}
+
+	d := dispatch.New(dispatch.Options{Engine: sweep.New(sweep.Options{}), Peers: []string{ts.URL}, ShardSize: 4})
+	if _, err := d.Run(context.Background(), dispatch.Request{Space: testSpace(16, 24)}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	d.ClusterStatus(context.Background())
+	if openConns() == 0 {
+		t.Fatal("remote shards left no pooled connection to release")
+	}
+	d.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for openConns() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d worker connections still open after Close", openConns())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	rt := &closeCounter{RoundTripper: http.DefaultTransport}
+	d = dispatch.New(dispatch.Options{Engine: sweep.New(sweep.Options{}), Peers: []string{ts.URL},
+		HTTPClient: &http.Client{Transport: rt}})
+	d.Close()
+	if n := rt.closes.Load(); n != 0 {
+		t.Fatalf("Close touched the caller's client %d times", n)
 	}
 }

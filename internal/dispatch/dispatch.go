@@ -202,6 +202,7 @@ type Dispatcher struct {
 	maxInFlight  int // configured bound; 0 derives from roster size
 	shardTimeout time.Duration
 	hc           *http.Client
+	ownTransport *http.Transport // built by New; nil with a caller's HTTPClient
 	logger       *slog.Logger
 	breakerCfg   admit.BreakerConfig
 
@@ -245,16 +246,18 @@ func New(opts Options) *Dispatcher {
 		shardTimeout = DefaultShardTimeout
 	}
 	hc := opts.HTTPClient
+	var own *http.Transport
 	if hc == nil {
 		// The pool must hold the full in-flight shard fan-out per peer,
 		// or concurrent scatters churn connections instead of reusing
 		// them — on a busy coordinator that handshake tax dominates the
 		// shard round trip.
-		hc = &http.Client{Transport: &http.Transport{
+		own = &http.Transport{
 			MaxIdleConns:        0, // no global cap; the per-host cap governs
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
-		}}
+		}
+		hc = &http.Client{Transport: own}
 	}
 	hedgeMult := opts.Hedge.Multiplier
 	if hedgeMult <= 0 {
@@ -278,6 +281,7 @@ func New(opts Options) *Dispatcher {
 		maxInFlight:   opts.MaxInFlight,
 		shardTimeout:  shardTimeout,
 		hc:            hc,
+		ownTransport:  own,
 		logger:        opts.Logger,
 		breakerCfg:    opts.Breaker,
 		hedgeOff:      opts.Hedge.Disable,
@@ -350,6 +354,16 @@ func (d *Dispatcher) reclaimAttempts(p *peerState) int {
 		h.cancel()
 	}
 	return len(handles)
+}
+
+// Close releases the idle peer connections of the transport New built
+// for the dispatcher. A caller-supplied Options.HTTPClient belongs to
+// the caller and is never touched. Close is idempotent and the
+// dispatcher stays usable: a later call dials afresh.
+func (d *Dispatcher) Close() {
+	if d.ownTransport != nil {
+		d.ownTransport.CloseIdleConnections()
+	}
 }
 
 // Engine returns the dispatcher's local engine.

@@ -162,6 +162,8 @@ func TestClassify(t *testing.T) {
 		{Averaging(stencil.ThirteenPoint), classGeneric},
 		{Averaging(stencil.FivePoint), class5Point},
 		{Averaging(stencil.FivePoint.WithFlops(42)), classGeneric},
+		// A distinct handle to an equal definition still specializes.
+		{Averaging(stencil.FivePoint.WithFlops(5)), class5Point},
 	}
 	for _, c := range cases {
 		if got := classify(c.k); got != c.want {

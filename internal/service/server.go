@@ -272,5 +272,9 @@ func (s *Server) Telemetry() *telemetry.Registry { return s.telemetry }
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
 // Close stops the job store: its GC loop ends and resident running
-// jobs are cancelled and drained.
-func (s *Server) Close() { s.store.Close() }
+// jobs are cancelled and drained. It then closes the dispatcher,
+// releasing its idle peer connections.
+func (s *Server) Close() {
+	s.store.Close()
+	s.dispatcher.Close()
+}

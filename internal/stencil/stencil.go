@@ -30,11 +30,19 @@ type Offset struct {
 	DI, DJ int
 }
 
-// Stencil describes a discretization stencil.
+// Stencil describes a discretization stencil. It is a one-word handle
+// to an immutable definition, so a Stencil (and every core.Problem that
+// embeds one) copies as a single pointer on the model's hot path.
 //
 // The zero value is not a valid stencil; use New or one of the package
-// built-ins (FivePoint, NinePoint, NineStar, ThirteenPoint).
-type Stencil struct {
+// built-ins (FivePoint, NinePoint, NineStar, ThirteenPoint). Valid, Name,
+// Offsets, String and Equal accept the zero value; the other accessors
+// require a valid stencil.
+type Stencil struct{ *def }
+
+// def is a stencil's definition. It is never mutated once built: WithFlops
+// copies it, so handles to a built-in can be shared freely.
+type def struct {
 	name    string
 	offsets []Offset // canonical order, center excluded
 	flops   float64  // E(S)
@@ -74,16 +82,16 @@ func New(name string, offsets []Offset, flops float64) (Stencil, error) {
 		}
 		return canon[a].DJ < canon[b].DJ
 	})
-	s := Stencil{name: name, offsets: canon, flops: flops}
+	d := &def{name: name, offsets: canon, flops: flops}
 	for _, o := range canon {
-		s.rowRadius = max(s.rowRadius, abs(o.DI))
-		s.colRadius = max(s.colRadius, abs(o.DJ))
+		d.rowRadius = max(d.rowRadius, abs(o.DI))
+		d.colRadius = max(d.colRadius, abs(o.DJ))
 		if o.DI != 0 && o.DJ != 0 {
-			s.diagonal = true
+			d.diagonal = true
 		}
 	}
-	s.chebRadius = max(s.rowRadius, s.colRadius)
-	return s, nil
+	d.chebRadius = max(d.rowRadius, d.colRadius)
+	return Stencil{d}, nil
 }
 
 // MustNew is New but panics on error; intended for package-level built-ins
@@ -96,12 +104,20 @@ func MustNew(name string, offsets []Offset, flops float64) Stencil {
 	return s
 }
 
-// Name returns the stencil's display name.
-func (s Stencil) Name() string { return s.name }
+// Name returns the stencil's display name ("" for the zero value).
+func (s Stencil) Name() string {
+	if s.def == nil {
+		return ""
+	}
+	return s.name
+}
 
 // Offsets returns a copy of the neighbor offsets in canonical order. The
-// center point is excluded.
+// center point is excluded. The zero value has none (nil).
 func (s Stencil) Offsets() []Offset {
+	if s.def == nil {
+		return nil
+	}
 	out := make([]Offset, len(s.offsets))
 	copy(out, s.offsets)
 	return out
@@ -120,10 +136,14 @@ func (s Stencil) Flops() float64 { return s.flops }
 // calibrating it without redefining geometry.
 func (s Stencil) WithFlops(flops float64) Stencil {
 	if flops <= 0 {
-		panic(fmt.Sprintf("stencil %q: WithFlops requires positive flops, got %g", s.name, flops))
+		panic(fmt.Sprintf("stencil %q: WithFlops requires positive flops, got %g", s.Name(), flops))
 	}
-	s.flops = flops
-	return s
+	var d def
+	if s.def != nil {
+		d = *s.def
+	}
+	d.flops = flops
+	return Stencil{&d}
 }
 
 // RowRadius returns the maximum |row offset| of the stencil: the number of
@@ -144,7 +164,7 @@ func (s Stencil) ChebyshevRadius() int { return s.chebRadius }
 func (s Stencil) HasDiagonal() bool { return s.diagonal }
 
 // Valid reports whether the stencil was constructed by New (non-empty).
-func (s Stencil) Valid() bool { return len(s.offsets) > 0 }
+func (s Stencil) Valid() bool { return s.def != nil && len(s.offsets) > 0 }
 
 // String renders the stencil name and size, e.g. "5-point (k_strip=1)".
 func (s Stencil) String() string {
@@ -189,6 +209,12 @@ func (s Stencil) contains(o Offset) bool {
 
 // Equal reports whether two stencils have identical geometry and flop count.
 func (s Stencil) Equal(t Stencil) bool {
+	if s.def == t.def {
+		return true
+	}
+	if s.def == nil || t.def == nil {
+		return false
+	}
 	if s.name != t.name || s.flops != t.flops || len(s.offsets) != len(t.offsets) {
 		return false
 	}

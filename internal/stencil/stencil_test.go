@@ -105,6 +105,29 @@ func TestWithFlops(t *testing.T) {
 	}
 }
 
+// TestZeroStencil pins the zero handle's nil-safe accessors.
+func TestZeroStencil(t *testing.T) {
+	var zero Stencil
+	if zero.Valid() {
+		t.Error("zero stencil is Valid")
+	}
+	if got := zero.Name(); got != "" {
+		t.Errorf("zero Name() = %q", got)
+	}
+	if got := zero.String(); got != "invalid stencil" {
+		t.Errorf("zero String() = %q", got)
+	}
+	if got := zero.Offsets(); got != nil {
+		t.Errorf("zero Offsets() = %v, want nil", got)
+	}
+	if !zero.Equal(Stencil{}) || zero.Equal(FivePoint) || FivePoint.Equal(zero) {
+		t.Error("zero Equal mismatched")
+	}
+	if z := zero.WithFlops(3); z.Valid() || z.Flops() != 3 {
+		t.Errorf("zero WithFlops(3) = %v (flops %g)", z, z.Flops())
+	}
+}
+
 func TestWithFlopsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -148,6 +171,9 @@ func TestEqual(t *testing.T) {
 	if FivePoint.Equal(FivePoint.WithFlops(6)) {
 		t.Error("Equal ignores flops")
 	}
+	if !FivePoint.Equal(FivePoint.WithFlops(5)) {
+		t.Error("Equal compares handles, not definitions")
+	}
 	renamed := MustNew("other", FivePoint.Offsets(), FivePoint.Flops())
 	if FivePoint.Equal(renamed) {
 		t.Error("Equal ignores name")
@@ -184,13 +210,6 @@ func TestRender(t *testing.T) {
 func TestStringForms(t *testing.T) {
 	if got := FivePoint.String(); !strings.Contains(got, "5-point") {
 		t.Errorf("String() = %q", got)
-	}
-	var zero Stencil
-	if got := zero.String(); got != "invalid stencil" {
-		t.Errorf("zero String() = %q", got)
-	}
-	if zero.Valid() {
-		t.Error("zero stencil is Valid")
 	}
 }
 

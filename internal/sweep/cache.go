@@ -28,15 +28,17 @@ var closedCh = func() chan struct{} {
 // cache is a sharded, bounded LRU memoization table with in-flight
 // coalescing: struct keys hash to one of up to maxCacheShards
 // independent shards, so concurrent lookups from the worker pool
-// contend only per-shard. Within a shard, the first goroutine to
-// request a key via getOrCompute computes it while later requesters
-// for the same key block on the entry instead of recomputing (the
-// request-coalescing behavior the HTTP service relies on when
-// identical per-spec sweeps arrive concurrently). The batched speedup
-// path uses peek/putBatch instead and trades that per-key coalescing
-// for whole-group batching: concurrent identical cold batched sweeps
-// may duplicate a group computation (the first insert wins), but
-// completed entries still serve everyone afterwards. Failed
+// contend only per-shard. Each call hashes its key once; the 64-bit
+// hash both picks the shard and indexes the shard's map, so the map
+// never hashes the wide struct key field by field. Within a shard, the
+// first goroutine to request a key via getOrCompute computes it while
+// later requesters for the same key block on the entry instead of
+// recomputing (the request-coalescing behavior the HTTP service relies
+// on when identical per-spec sweeps arrive concurrently). The batched
+// speedup path uses peek/putBatch instead and trades that per-key
+// coalescing for whole-group batching: concurrent identical cold
+// batched sweeps may duplicate a group computation (the first insert
+// wins), but completed entries still serve everyone afterwards. Failed
 // computations are not retained, so a transient error never poisons
 // the cache.
 type cache struct {
@@ -46,14 +48,17 @@ type cache struct {
 // cacheShard is one independently locked LRU over intrusively linked
 // entries: the list pointers live inside centry, so inserting an entry
 // costs no container node beyond the entry itself, and a batch insert
-// of n entries costs one []centry slab.
+// of n entries costs one []centry slab. The index maps a key hash to
+// the head of a chain of the resident entries with that hash (linked
+// through hnext); lookups compare the full key along the chain, so a
+// hash collision can never return the wrong entry.
 type cacheShard struct {
 	mu   sync.Mutex
 	cap  int
 	n    int     // resident entries
 	head *centry // most recently used
 	tail *centry // least recently used
-	idx  map[specKey]*centry
+	idx  map[uint64]*centry
 }
 
 // centry is one cache slot. done is closed once out is populated
@@ -61,15 +66,18 @@ type cacheShard struct {
 // hold the pointer, so eviction never races a fill. prev/next are the
 // shard's intrusive LRU links, owned by the shard lock; an evicted
 // entry's links are cleared but the entry stays valid for any waiter
-// still holding it. Entries inserted by putBatch live in a shared slab
-// ([]centry), so an evicted slab member keeps its slab reachable until
-// every member is gone — acceptable, because a batch's members enter
-// together and age out of the LRU together.
+// still holding it. hash is key.hash(), and hnext links the next
+// entry with the same hash. Entries inserted by putBatch live in a
+// shared slab ([]centry), so an evicted slab member keeps its slab
+// reachable until every member is gone — acceptable, because a
+// batch's members enter together and age out of the LRU together.
 type centry struct {
 	key        specKey
+	hash       uint64
 	done       chan struct{}
 	out        outcome
 	prev, next *centry
+	hnext      *centry
 }
 
 func newCache(capacity int) *cache {
@@ -94,14 +102,19 @@ func newCache(capacity int) *cache {
 	if per < 1 {
 		per = 1
 	}
-	// The index maps start empty and grow with residency: specKey is a
-	// wide struct, so presizing buckets for the configured capacity
-	// would charge every engine construction hundreds of KB up front —
-	// the wrong trade for the common small sweep.
+	// The index maps start empty and grow with residency: presizing
+	// them for the configured capacity would charge every engine
+	// construction up front — the wrong trade for the common small
+	// sweep.
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{cap: per, idx: make(map[specKey]*centry)}
+		c.shards[i] = &cacheShard{cap: per, idx: make(map[uint64]*centry)}
 	}
 	return c
+}
+
+// shard returns the shard owning a key hash.
+func (c *cache) shard(h uint64) *cacheShard {
+	return c.shards[h%uint64(len(c.shards))]
 }
 
 // --- intrusive LRU plumbing (all under the shard lock) ---
@@ -145,14 +158,45 @@ func (s *cacheShard) moveToFront(e *centry) {
 	s.pushFront(e)
 }
 
-// evictOver drops least-recently-used entries until the shard is within
-// capacity.
-func (s *cacheShard) evictOver() {
-	for s.n > s.cap {
-		oldest := s.tail
-		s.unlink(oldest)
-		delete(s.idx, oldest.key)
+// find returns the resident entry for key, whose hash is h, or nil.
+func (s *cacheShard) find(h uint64, key specKey) *centry {
+	for e := s.idx[h]; e != nil; e = e.hnext {
+		if e.key == key {
+			return e
+		}
 	}
+	return nil
+}
+
+// insert makes a fresh entry resident as most recently used, then
+// evicts least-recently-used entries until the shard is within
+// capacity. The caller has checked that no entry for e.key is resident.
+func (s *cacheShard) insert(e *centry) {
+	e.hnext = s.idx[e.hash]
+	s.idx[e.hash] = e
+	s.pushFront(e)
+	for s.n > s.cap {
+		s.remove(s.tail)
+	}
+}
+
+// remove drops a resident entry from the LRU list and its hash chain,
+// deleting the chain's index slot once it is empty.
+func (s *cacheShard) remove(e *centry) {
+	s.unlink(e)
+	if head := s.idx[e.hash]; head == e {
+		if e.hnext == nil {
+			delete(s.idx, e.hash)
+		} else {
+			s.idx[e.hash] = e.hnext
+		}
+	} else {
+		for head.hnext != e {
+			head = head.hnext
+		}
+		head.hnext = e.hnext
+	}
+	e.hnext = nil
 }
 
 // getOrCompute returns the outcome for key, computing it with fn on a
@@ -163,18 +207,14 @@ func (s *cacheShard) evictOver() {
 // gets ErrWaitCancelled instead of blocking past its context; fn itself
 // must not block on cancel (it is pure model evaluation).
 func (c *cache) getOrCompute(cancel <-chan struct{}, key specKey, fn func() outcome) (outcome, bool) {
-	return c.shardFor(key).getOrCompute(cancel, key, fn)
+	h := key.hash()
+	return c.shard(h).getOrCompute(cancel, h, key, fn)
 }
 
-// shardFor picks the key's shard from the struct key's inline hash (no
-// allocation on the per-spec hot path).
-func (c *cache) shardFor(key specKey) *cacheShard {
-	return c.shards[key.hash()%uint64(len(c.shards))]
-}
-
-func (s *cacheShard) getOrCompute(cancel <-chan struct{}, key specKey, fn func() outcome) (outcome, bool) {
+// getOrCompute is cache.getOrCompute on the shard owning h, key's hash.
+func (s *cacheShard) getOrCompute(cancel <-chan struct{}, h uint64, key specKey, fn func() outcome) (outcome, bool) {
 	s.mu.Lock()
-	if e, ok := s.idx[key]; ok {
+	if e := s.find(h, key); e != nil {
 		s.moveToFront(e)
 		s.mu.Unlock()
 		select {
@@ -187,10 +227,8 @@ func (s *cacheShard) getOrCompute(cancel <-chan struct{}, key specKey, fn func()
 			return outcome{err: ErrWaitCancelled}, false
 		}
 	}
-	e := &centry{key: key, done: make(chan struct{})}
-	s.pushFront(e)
-	s.idx[key] = e
-	s.evictOver()
+	e := &centry{key: key, hash: h, done: make(chan struct{})}
+	s.insert(e)
 	s.mu.Unlock()
 
 	e.out = fn()
@@ -199,9 +237,8 @@ func (s *cacheShard) getOrCompute(cancel <-chan struct{}, key specKey, fn func()
 		s.mu.Lock()
 		// The entry may already have been evicted; only remove it if
 		// the index still maps the key to this entry.
-		if cur, ok := s.idx[key]; ok && cur == e {
-			s.unlink(cur)
-			delete(s.idx, key)
+		if s.find(h, key) == e {
+			s.remove(e)
 		}
 		s.mu.Unlock()
 	}
@@ -214,10 +251,11 @@ func (s *cacheShard) getOrCompute(cancel <-chan struct{}, key specKey, fn func()
 // is waited on exactly like a getOrCompute hit (the waiter coalesces),
 // so peek honors cancel the same way. The bool reports residency.
 func (c *cache) peek(cancel <-chan struct{}, key specKey) (outcome, bool) {
-	s := c.shardFor(key)
+	h := key.hash()
+	s := c.shard(h)
 	s.mu.Lock()
-	e, ok := s.idx[key]
-	if !ok {
+	e := s.find(h, key)
+	if e == nil {
 		s.mu.Unlock()
 		return outcome{}, false
 	}
@@ -239,16 +277,13 @@ func (c *cache) put(key specKey, out outcome) {
 	if out.err != nil {
 		return
 	}
-	s := c.shardFor(key)
-	e := &centry{key: key, done: closedCh, out: out}
+	h := key.hash()
+	s := c.shard(h)
+	e := &centry{key: key, hash: h, done: closedCh, out: out}
 	s.mu.Lock()
-	if _, ok := s.idx[key]; ok {
-		s.mu.Unlock()
-		return
+	if s.find(h, key) == nil {
+		s.insert(e)
 	}
-	s.pushFront(e)
-	s.idx[key] = e
-	s.evictOver()
 	s.mu.Unlock()
 }
 
@@ -273,17 +308,14 @@ func (c *cache) putBatch(keys []specKey, outs []outcome) {
 		if o.err != nil {
 			continue
 		}
-		slab = append(slab, centry{key: keys[i], done: closedCh, out: o})
+		h := keys[i].hash()
+		slab = append(slab, centry{key: keys[i], hash: h, done: closedCh, out: o})
 		e := &slab[len(slab)-1]
-		s := c.shardFor(e.key)
+		s := c.shard(h)
 		s.mu.Lock()
-		if _, ok := s.idx[e.key]; ok {
-			s.mu.Unlock()
-			continue
+		if s.find(h, e.key) == nil {
+			s.insert(e)
 		}
-		s.pushFront(e)
-		s.idx[e.key] = e
-		s.evictOver()
 		s.mu.Unlock()
 	}
 }

@@ -112,9 +112,8 @@ func stencilCode(name string) (uint8, bool) {
 // machKeyFor packs a canonical machine spec (one produced by
 // core.SpecFor of a materialized machine) into its key form. NaN
 // fields are rejected: NaN != NaN would make the comparable key
-// unfindable and undeletable in the cache maps (a permanent miss that
-// leaks an index entry per evaluation), so no NaN may ever enter a
-// specKey.
+// unfindable in the cache (a permanent miss that inserts a duplicate
+// entry per evaluation), so no NaN may ever enter a specKey.
 func machKeyFor(canon core.MachineSpec) (machKey, error) {
 	code, ok := machTypeCode(canon.Type)
 	if !ok {
@@ -166,7 +165,7 @@ func buildKey(s Spec, stCode uint8, sh partition.Shape, mk machKey) (specKey, er
 	case OpAmdahl, OpGustafson, OpCriticalPath:
 		k.procs = int64(s.Procs)
 	}
-	// A NaN field would break the comparable key's map semantics (see
+	// A NaN field would break the comparable key's cache semantics (see
 	// machKeyFor); such specs are invalid for their ops anyway, so they
 	// fail resolution instead of ever reaching the cache.
 	if math.IsNaN(k.target) || math.IsNaN(k.f) {
@@ -176,7 +175,8 @@ func buildKey(s Spec, stCode uint8, sh partition.Shape, mk machKey) (specKey, er
 }
 
 // hash mixes the key's fields with FNV-1a over 64-bit words — no
-// byte-slice materialization, no allocation — for shard selection.
+// byte-slice materialization, no allocation — for shard selection and
+// the shard index.
 func (k specKey) hash() uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
