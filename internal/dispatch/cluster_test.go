@@ -89,10 +89,12 @@ type closeCounter struct {
 
 func (c *closeCounter) CloseIdleConnections() { c.closes.Add(1) }
 
-// TestCloseReleasesOwnTransportOnly runs remote shards and a health
-// probe, then requires Close to shut every pooled connection to the
+// TestCloseReleasesOwnTransportOnly runs a health probe and remote
+// shards, then requires Close to shut every pooled connection to the
 // worker when the dispatcher built its own transport, and to leave a
-// caller-supplied client alone.
+// caller-supplied client alone. The probe goes first: it closes the
+// connection it used, and the shards may all share one pooled
+// connection, which a later probe could take and close.
 func TestCloseReleasesOwnTransportOnly(t *testing.T) {
 	srv := service.New(service.Config{Engine: sweep.New(sweep.Options{})})
 	// The worker's reply goes out whole with a Content-Length, so the
@@ -131,10 +133,10 @@ func TestCloseReleasesOwnTransportOnly(t *testing.T) {
 	}
 
 	d := dispatch.New(dispatch.Options{Engine: sweep.New(sweep.Options{}), Peers: []string{ts.URL}, ShardSize: 4})
+	d.ClusterStatus(context.Background())
 	if _, err := d.Run(context.Background(), dispatch.Request{Space: testSpace(16, 24)}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	d.ClusterStatus(context.Background())
 	if openConns() == 0 {
 		t.Fatal("remote shards left no pooled connection to release")
 	}
@@ -153,5 +155,43 @@ func TestCloseReleasesOwnTransportOnly(t *testing.T) {
 	d.Close()
 	if n := rt.closes.Load(); n != 0 {
 		t.Fatalf("Close touched the caller's client %d times", n)
+	}
+}
+
+// TestShardConnectionsAreReused runs two shards one after the other
+// against one streaming worker whose chunked terminator trails its done
+// line, and requires both to travel over one connection: the dispatcher
+// reads each shard body to EOF, so net/http pools the connection
+// instead of closing it at the done line.
+func TestShardConnectionsAreReused(t *testing.T) {
+	srv := service.New(service.Config{Engine: sweep.New(sweep.Options{})})
+	lateEnd := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.Handler().ServeHTTP(w, r) // flushes through the done line
+		time.Sleep(20 * time.Millisecond)
+	})
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(lateEnd)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+
+	d := dispatch.New(dispatch.Options{Engine: sweep.New(sweep.Options{}), Peers: []string{ts.URL},
+		ShardSize: 4, MaxInFlight: 1, Hedge: dispatch.HedgeConfig{Disable: true}})
+	defer d.Close()
+	if _, err := d.Run(context.Background(), dispatch.Request{Space: testSpace(16, 24)}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if st := d.Stats(); st.ShardsPlanned != 2 || st.ShardsRetried != 0 || st.ShardsFallback != 0 {
+		t.Fatalf("shard stats %+v; want two shards, both served by the worker", st)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("two sequential shards opened %d connections; want 1", n)
 	}
 }

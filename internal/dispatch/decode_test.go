@@ -1,47 +1,38 @@
-package dispatch
+package dispatch_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"optspeed/internal/core"
+	"optspeed/internal/service"
 	"optspeed/internal/sweep"
+	"optspeed/internal/wire"
 )
 
-// decodeBoth runs a line through decodeLine (fast path + fallback) and
-// through plain encoding/json, and requires identical outcomes.
-func decodeBoth(t *testing.T, raw []byte) (wireResult, bool, bool) {
-	t.Helper()
-	var fast wireResult
-	isResult, done, err := decodeLine(raw, &fast)
-	if err != nil {
-		t.Fatalf("decodeLine(%s): %v", raw, err)
-	}
-	var ref wireLine
-	if err := json.Unmarshal(raw, &ref); err != nil {
-		t.Fatalf("reference unmarshal(%s): %v", raw, err)
-	}
-	if (ref.Result != nil) != isResult || ref.Done != done {
-		t.Fatalf("decodeLine(%s): result=%v done=%v; reference result=%v done=%v",
-			raw, isResult, done, ref.Result != nil, ref.Done)
-	}
-	if isResult && !reflect.DeepEqual(fast, *ref.Result) {
-		t.Fatalf("decodeLine(%s):\n fast %+v\n ref  %+v", raw, fast, *ref.Result)
-	}
-	return fast, isResult, done
-}
+// The coordinator reads every peer stream line with wire.DecodeLine.
+// These tests hold that decoder to encoding/json's reading of the
+// lines a peer writes, and of the lines a failing peer could write.
 
-// randomWireResult builds a random result covering every field,
-// including values that force the encoding/json fallback (escaped
-// strings) and omitempty-elided zeros.
-func randomWireResult(rng *rand.Rand) wireResult {
+// randomResult builds a random result covering every wire-visible
+// field: escaped strings, omitempty-elided zeros, allocations, scaled
+// points, and plain and panic errors.
+func randomResult(rng *rand.Rand) sweep.Result {
 	stencils := []string{"5-point", "9-point", "9-star", "13-point", "weird \"st\"", ""}
 	shapes := []string{"strip", "square", "rhombus"}
 	types := []string{"hypercube", "mesh", "sync-bus", "async-bus", "full-async-bus", "banyan", "<custom>"}
-	ops := []string{"", "optimize", "speedup", "scaled", "min-grid", "isoeff-grid"}
-	errs := []string{"", "core: Speedup: procs=9 out of range [1, 4]", `sweep: unknown stencil "bogus"`, "line\nbreak"}
+	ops := []sweep.Op{"", sweep.OpOptimize, sweep.OpSpeedup, sweep.OpScaled, "min-grid", "isoeff-grid"}
+	errs := []error{nil, nil,
+		errors.New("core: Speedup: procs=9 out of range [1, 4]"),
+		errors.New(`sweep: unknown stencil "bogus"`),
+		errors.New("line\nbreak"),
+		fmt.Errorf("%w: boom", sweep.ErrEvaluationPanic),
+	}
 	f := func() float64 {
 		switch rng.Intn(4) {
 		case 0:
@@ -54,11 +45,11 @@ func randomWireResult(rng *rand.Rand) wireResult {
 			return rng.NormFloat64() * 1e9
 		}
 	}
-	return wireResult{
+	return sweep.Result{
 		Index:    rng.Intn(100000),
 		CacheHit: rng.Intn(2) == 0,
 		Spec: sweep.Spec{
-			Op:      sweep.Op(ops[rng.Intn(len(ops))]),
+			Op:      ops[rng.Intn(len(ops))],
 			N:       rng.Intn(4096) - 4,
 			Stencil: stencils[rng.Intn(len(stencils))],
 			Shape:   shapes[rng.Intn(len(shapes))],
@@ -79,150 +70,105 @@ func randomWireResult(rng *rand.Rand) wireResult {
 			Target:        f(),
 			PointsPerProc: f(),
 		},
-		Procs:     rng.Intn(3) * rng.Intn(2048),
-		ProcsUsed: f(),
-		Area:      f(),
-		CycleTime: f(),
-		Speedup:   f(),
-		Grid:      rng.Intn(3) * rng.Intn(8192),
-		Value:     f(),
-		Error:     errs[rng.Intn(len(errs))],
+		Alloc:  core.Allocation{Procs: rng.Intn(3) * rng.Intn(2048), Area: f(), CycleTime: f(), Speedup: f()},
+		Scaled: core.ScaledPoint{Procs: f(), CycleTime: f(), Speedup: f()},
+		Grid:   rng.Intn(3) * rng.Intn(8192),
+		Value:  f(),
+		Err:    errs[rng.Intn(len(errs))],
 	}
 }
 
-// wireResultTagged mirrors wireResult with the service's omitempty
-// tags, so marshaling it reproduces the exact elision behavior of the
-// peer's encoder for test inputs.
-type wireResultTagged struct {
-	Index     int        `json:"index"`
-	Spec      sweep.Spec `json:"spec"`
-	CacheHit  bool       `json:"cache_hit"`
-	Procs     int        `json:"procs,omitempty"`
-	ProcsUsed float64    `json:"procs_used,omitempty"`
-	Area      float64    `json:"area,omitempty"`
-	CycleTime float64    `json:"cycle_time,omitempty"`
-	Speedup   float64    `json:"speedup,omitempty"`
-	Grid      int        `json:"grid,omitempty"`
-	Value     float64    `json:"value,omitempty"`
-	Error     string     `json:"error,omitempty"`
+// agreeWithEncodingJSON decodes raw with wire.DecodeLine and, when it
+// accepts the line, requires encoding/json to accept it too, as the
+// same line kind and — through the decoded result's re-encoding — the
+// same value. It reports whether DecodeLine accepted the line.
+func agreeWithEncodingJSON(t *testing.T, raw []byte) (sweep.Result, bool) {
+	t.Helper()
+	var got sweep.Result
+	done, err := wire.DecodeLine(raw, &got)
+	if err != nil {
+		return got, false
+	}
+	var ref service.StreamLine
+	if err := json.Unmarshal(raw, &ref); err != nil {
+		t.Fatalf("DecodeLine accepted %q; encoding/json rejects it: %v", raw, err)
+	}
+	if ref.Done != done || (ref.Result != nil) == done {
+		t.Fatalf("DecodeLine(%q) read done=%v; encoding/json reads %+v", raw, done, ref)
+	}
+	if !done {
+		var back service.StreamLine
+		if err := json.Unmarshal(wire.AppendResultLine(nil, &got), &back); err != nil {
+			t.Fatalf("re-encoding the result of DecodeLine(%q): %v", raw, err)
+		}
+		if !reflect.DeepEqual(back.Result, ref.Result) {
+			t.Fatalf("DecodeLine(%q):\n got %+v\nwant %+v", raw, *back.Result, *ref.Result)
+		}
+	}
+	return got, true
 }
 
 // TestDecodeLineMatchesEncodingJSON is the decoder's equivalence
-// property: over thousands of randomized result lines — compact and
-// indented, with and without escapes — the fast decoder (or its
-// fallback) produces exactly what encoding/json produces.
+// property: over thousands of randomized result lines as a peer writes
+// them, DecodeLine reads exactly what encoding/json reads, and the
+// decoded result re-encodes to the same line. An indented copy of a
+// line, which encoding/json reads the same, is rejected: the decoder
+// takes the peer encoder's compact form only.
 func TestDecodeLineMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 4000; iter++ {
-		w := randomWireResult(rng)
-		tagged := wireResultTagged(w)
-		var raw []byte
-		var err error
+		w := randomResult(rng)
+		line := wire.AppendResultLine(nil, &w)
+		got, ok := agreeWithEncodingJSON(t, line)
+		if !ok {
+			t.Fatalf("DecodeLine rejected the encoder's line %q", line)
+		}
+		if again := wire.AppendResultLine(nil, &got); !bytes.Equal(again, line) {
+			t.Fatalf("round trip diverged:\n was %q\n now %q", line, again)
+		}
 		if iter%5 == 4 {
-			// Whitespace variant: must still decode identically (via
-			// the fallback if need be).
-			raw, err = json.MarshalIndent(struct {
-				Result *wireResultTagged `json:"result"`
-			}{&tagged}, "", " ")
-		} else {
-			raw, err = json.Marshal(struct {
-				Result *wireResultTagged `json:"result"`
-			}{&tagged})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, isResult, _ := decodeBoth(t, raw)
-		if !isResult {
-			t.Fatalf("line %s not recognized as a result", raw)
-		}
-		// Against the original too: omitempty drops zeros, which decode
-		// back to zeros, so the round trip must be exact.
-		if !reflect.DeepEqual(got, w) {
-			t.Fatalf("round trip diverged:\n in  %+v\n out %+v\n raw %s", w, got, raw)
+			var indented bytes.Buffer
+			if err := json.Indent(&indented, bytes.TrimSuffix(line, []byte("\n")), "", " "); err != nil {
+				t.Fatal(err)
+			}
+			var compact, spaced service.StreamLine
+			if json.Unmarshal(line, &compact) != nil || json.Unmarshal(indented.Bytes(), &spaced) != nil ||
+				!reflect.DeepEqual(compact, spaced) {
+				t.Fatalf("encoding/json reads %q and its indented copy differently", line)
+			}
+			var r sweep.Result
+			if _, err := wire.DecodeLine(indented.Bytes(), &r); err == nil {
+				t.Fatalf("DecodeLine accepted the indented line %q", indented.Bytes())
+			}
 		}
 	}
 }
 
-func TestDecodeLineDoneAndEdgeCases(t *testing.T) {
-	cases := []struct {
-		raw      string
-		isResult bool
-		done     bool
-	}{
-		{`{"done":true,"stats":{"specs":5,"cache_hits":0,"evaluated":5,"errors":0}}`, false, true},
-		{`{"done":true}`, false, true},
-		{`{"done":false}`, false, false},
-		{`{"unknown":{"nested":[1,2,{"x":"y"}]},"done":true}`, false, true},
-		{`{"result":{"index":0,"spec":{"n":1,"stencil":"s","shape":"h","machine":{"type":"t"}},"cache_hit":true},"extra":null}`, true, false},
-	}
-	for _, tc := range cases {
-		_, isResult, done := decodeBoth(t, []byte(tc.raw))
-		if isResult != tc.isResult || done != tc.done {
-			t.Errorf("%s: got result=%v done=%v, want %v/%v", tc.raw, isResult, done, tc.isResult, tc.done)
-		}
-	}
-	var res wireResult
-	for _, bad := range []string{``, `{`, `nope`, `{"done":tru}`, `{"result":{"index":"x"}}`} {
-		if _, _, err := decodeLine([]byte(bad), &res); err == nil {
-			t.Errorf("decodeLine(%q): want error", bad)
-		}
-	}
-}
-
-// TestDecodeLineAgreesUnderCorruption mutates valid lines — prefix
-// truncations and single-byte substitutions — and requires decodeLine
-// to agree with encoding/json on every one: both succeed with the same
-// value, or both fail. This is what makes the fast path safe against
-// a peer dying mid-line or writing garbage.
+// TestDecodeLineAgreesUnderCorruption mutates a valid line — prefix
+// truncations and single-byte substitutions — and requires that every
+// line DecodeLine accepts, encoding/json accepts with the same value.
+// A peer dying mid-line or writing garbage therefore fails the shard
+// rather than delivering a wrong result. Truncations agree both ways:
+// only the whole line decodes.
 func TestDecodeLineAgreesUnderCorruption(t *testing.T) {
 	base := []byte(`{"result":{"index":7,"spec":{"op":"speedup","n":64,"stencil":"5-point",` +
 		`"shape":"strip","machine":{"type":"sync-bus","reads_only":true},"procs":4},` +
 		`"cache_hit":true,"value":3.25,"error":"boom"}}`)
-	check := func(raw []byte) {
-		t.Helper()
-		var fast wireResult
-		isResult, done, fastErr := decodeLine(raw, &fast)
-		var ref wireLine
-		refErr := json.Unmarshal(raw, &ref)
-		if (fastErr == nil) != (refErr == nil) {
-			t.Fatalf("decodeLine(%q) err=%v, encoding/json err=%v", raw, fastErr, refErr)
-		}
-		if fastErr != nil {
-			return
-		}
-		if (ref.Result != nil) != isResult || ref.Done != done {
-			t.Fatalf("decodeLine(%q) diverged on line shape", raw)
-		}
-		if isResult && !reflect.DeepEqual(fast, *ref.Result) {
-			t.Fatalf("decodeLine(%q) diverged on value", raw)
-		}
-	}
 	for i := 0; i <= len(base); i++ {
-		check(base[:i])
+		_, fastOK := agreeWithEncodingJSON(t, base[:i])
+		var ref service.StreamLine
+		refOK := json.Unmarshal(base[:i], &ref) == nil
+		if fastOK != refOK || fastOK != (i == len(base)) {
+			t.Fatalf("prefix %q: DecodeLine ok=%v, encoding/json ok=%v", base[:i], fastOK, refOK)
+		}
 	}
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 4000; iter++ {
 		mut := append([]byte(nil), base...)
 		// Full byte range: high bytes matter — encoding/json coerces
-		// invalid UTF-8 inside strings to U+FFFD, and the fast path
-		// must defer to it there rather than accept the raw bytes.
+		// invalid UTF-8 inside strings to U+FFFD, and DecodeLine must
+		// reject the raw bytes rather than read them differently.
 		mut[rng.Intn(len(mut))] = byte(rng.Intn(256))
-		check(mut)
-	}
-}
-
-// BenchmarkDecodeLine tracks the fast path's per-line cost (the
-// coordinator pays it once per gathered result).
-func BenchmarkDecodeLine(b *testing.B) {
-	line := []byte(`{"result":{"index":42,"spec":{"n":512,"stencil":"5-point","shape":"square",` +
-		`"machine":{"type":"hypercube"}},"cache_hit":false,"procs":1024,"area":256,` +
-		`"cycle_time":1.234e-5,"speedup":812.345}}`)
-	var res wireResult
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeLine(line, &res); err != nil {
-			b.Fatal(err)
-		}
+		agreeWithEncodingJSON(t, mut)
 	}
 }

@@ -5,15 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
 
-	"optspeed/internal/core"
 	"optspeed/internal/sweep"
 	"optspeed/internal/telemetry"
+	"optspeed/internal/wire"
 )
 
 // requestIDHeader names the request-id header the service's middleware
@@ -30,68 +29,17 @@ const streamPath = "/v2/sweeps/stream"
 // few hundred bytes; a megabyte means the peer is broken.
 const maxLineBytes = 1 << 20
 
+// maxDrainBytes and drainTimeout bound what fetchShard reads after a
+// shard's done line to hand the connection back to the pool.
+const (
+	maxDrainBytes = 64 << 10
+	drainTimeout  = 250 * time.Millisecond
+)
+
 // shardBody mirrors the service's SweepRequest wire shape.
 type shardBody struct {
 	Specs []sweep.Spec `json:"specs,omitempty"`
 	Space *sweep.Space `json:"space,omitempty"`
-}
-
-// wireResult mirrors the service's SweepResultJSON. Index is
-// shard-local (the peer sees the shard as a whole sweep); the
-// accumulator restores the global offset.
-type wireResult struct {
-	Index     int        `json:"index"`
-	Spec      sweep.Spec `json:"spec"`
-	CacheHit  bool       `json:"cache_hit"`
-	Procs     int        `json:"procs"`
-	ProcsUsed float64    `json:"procs_used"`
-	Area      float64    `json:"area"`
-	CycleTime float64    `json:"cycle_time"`
-	Speedup   float64    `json:"speedup"`
-	Grid      int        `json:"grid"`
-	Value     float64    `json:"value"`
-	Error     string     `json:"error"`
-}
-
-// wireLine mirrors one NDJSON line of the stream.
-type wireLine struct {
-	Result *wireResult `json:"result"`
-	Done   bool        `json:"done"`
-}
-
-// resultFromWire reconstructs the engine result a wire line encodes.
-// The mapping is the exact inverse of the service's sweepResultJSON for
-// every field that reaches the wire, so re-encoding a gathered result
-// on the coordinator reproduces the peer's bytes — the property the
-// distributed-equivalence golden test pins end to end.
-func resultFromWire(w *wireResult) sweep.Result {
-	r := sweep.Result{
-		Index:    w.Index,
-		Spec:     w.Spec,
-		CacheHit: w.CacheHit,
-		Value:    w.Value,
-		Grid:     w.Grid,
-	}
-	if w.Error != "" {
-		r.Err = errors.New(w.Error)
-		return r
-	}
-	if w.Procs > 0 {
-		r.Alloc = core.Allocation{
-			Procs:     w.Procs,
-			Area:      w.Area,
-			CycleTime: w.CycleTime,
-			Speedup:   w.Speedup,
-		}
-	}
-	if w.Spec.Op == sweep.OpScaled {
-		r.Scaled = core.ScaledPoint{
-			Procs:     w.ProcsUsed,
-			CycleTime: w.CycleTime,
-			Speedup:   w.Speedup,
-		}
-	}
-	return r
 }
 
 // fetchShard streams one shard from a peer into the accumulator. It
@@ -150,33 +98,37 @@ func (d *Dispatcher) fetchShard(ctx context.Context, peer *peerState, sh shard, 
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
-	var wire wireResult
 	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
-		}
-		isResult, doneLine, err := decodeLine(raw, &wire)
+		var r sweep.Result
+		done, err := wire.DecodeLine(sc.Bytes(), &r)
 		if err != nil {
 			return fmt.Errorf("dispatch: malformed stream line: %w", err)
 		}
-		switch {
-		case isResult:
-			local := wire.Index
-			if local < 0 || local >= sh.size {
-				return fmt.Errorf("dispatch: shard index %d out of range [0, %d)", local, sh.size)
-			}
-			r := resultFromWire(&wire)
-			r.Index += sh.start
-			// Duplicate deliveries are dropped here, not errored:
-			// first delivery wins and progress is counted once.
-			acc.accept(local, r)
-		case doneLine:
+		if done {
+			// Read the body to EOF (normally just the chunked
+			// terminator) so net/http pools the connection rather than
+			// closing it. A peer that stalls past its done line is cut
+			// off after drainTimeout instead of holding the shard. A
+			// failed drain costs only the connection: the done line is
+			// already in.
+			stop := time.AfterFunc(drainTimeout, cancel)
+			_, _ = io.CopyN(io.Discard, resp.Body, maxDrainBytes)
+			stop.Stop()
 			if missing := acc.missing(); missing > 0 {
 				return fmt.Errorf("dispatch: peer finished with %d of %d specs missing", missing, sh.size)
 			}
 			return nil
 		}
+		// Index is shard-local (the peer sees the shard as a whole
+		// sweep); the accumulator holds global indices.
+		local := r.Index
+		if local < 0 || local >= sh.size {
+			return fmt.Errorf("dispatch: shard index %d out of range [0, %d)", local, sh.size)
+		}
+		r.Index += sh.start
+		// Duplicate deliveries are dropped here, not errored: first
+		// delivery wins and progress is counted once.
+		acc.accept(local, r)
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("dispatch: shard stream: %w", err)

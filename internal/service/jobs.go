@@ -9,6 +9,7 @@ import (
 
 	"optspeed/internal/jobs"
 	"optspeed/internal/telemetry"
+	"optspeed/internal/wire"
 )
 
 // JobSubmitRequest is the body of POST /v2/jobs: exactly one of Sweep
@@ -273,10 +274,10 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The page is a zero-copy subslice of the job's slab storage; the
-	// AppendJSON encoder serializes it straight into a pooled buffer, so
+	// wire encoder serializes it straight into a pooled buffer, so
 	// a results read allocates nothing per result end to end.
 	buf := getBuf()
-	*buf = appendJobResultsPage(*buf, r.PathValue("id"), string(page.State),
+	*buf = wire.AppendJobResultsPage(*buf, r.PathValue("id"), string(page.State),
 		page.Results, page.NextCursor, page.Done)
 	s.writeRaw(w, r, http.StatusOK, *buf)
 	putBuf(buf)

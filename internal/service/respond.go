@@ -5,7 +5,32 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"sync"
 )
+
+// bufPool holds response build buffers for the internal/wire encoders.
+// Buffers that grew beyond maxPooledBuf (a pathological single
+// response) are dropped instead of pinning their memory in the pool.
+var bufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 4096)
+		return &b
+	},
+}
+
+const maxPooledBuf = 1 << 20
+
+func getBuf() *[]byte {
+	return bufPool.Get().(*[]byte)
+}
+
+func putBuf(b *[]byte) {
+	if cap(*b) > maxPooledBuf {
+		return
+	}
+	*b = (*b)[:0]
+	bufPool.Put(b)
+}
 
 // logEncodeError records a response-encoding or response-write failure
 // at error level, tagged with the middleware's request id so the access
@@ -45,7 +70,7 @@ func (s *Server) writeJSONPretty(w http.ResponseWriter, r *http.Request, status 
 	}
 }
 
-// writeRaw emits a pre-encoded JSON body built by the AppendJSON
+// writeRaw emits a pre-encoded JSON body built by the internal/wire
 // encoders (already newline-terminated, matching json.Encoder output).
 func (s *Server) writeRaw(w http.ResponseWriter, r *http.Request, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")

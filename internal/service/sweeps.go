@@ -1,11 +1,11 @@
 package service
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
 	"optspeed/internal/sweep"
+	"optspeed/internal/wire"
 )
 
 // SweepRequest carries explicit specs, a Cartesian space, or both
@@ -21,12 +21,13 @@ type SweepRequest struct {
 // fields mirror sweep.Result: allocation fields for the optimize ops,
 // Grid for the grid searches, Value for scalar ops, and ProcsUsed (a
 // real-valued processor count, plus CycleTime/Speedup) for scaled
-// points, where the machine grows fractionally with the problem.
+// points, where the machine grows fractionally with the problem. A
+// recovered evaluation panic is reported without the panic text.
 //
-// On the hot paths (v1 /sweep bodies, results pages, NDJSON lines) the
-// wire bytes are produced by the AppendJSON encoders in encode.go, not
-// encoding/json; the struct tags here remain the contract the encoders
-// are held to byte-for-byte by the encode_test.go identity tests.
+// The wire bytes are produced by the internal/wire encoders straight
+// from sweep.Result, not by encoding/json; the struct tags here remain
+// the contract those encoders are held to byte-for-byte by the
+// encode_test.go identity tests.
 type SweepResultJSON struct {
 	Index     int        `json:"index"`
 	Spec      sweep.Spec `json:"spec"`
@@ -41,61 +42,12 @@ type SweepResultJSON struct {
 	Error     string     `json:"error,omitempty"`
 }
 
-// sweepResultJSON converts one engine result to its wire form. A
-// recovered evaluation panic is reported without the panic text.
-func sweepResultJSON(res sweep.Result) SweepResultJSON {
-	jr := SweepResultJSON{
-		Index:    res.Index,
-		Spec:     res.Spec,
-		CacheHit: res.CacheHit,
-		Grid:     res.Grid,
-		Value:    res.Value,
-	}
-	if res.Alloc.Procs > 0 {
-		jr.Procs = res.Alloc.Procs
-		jr.Area = res.Alloc.Area
-		jr.CycleTime = res.Alloc.CycleTime
-		jr.Speedup = res.Alloc.Speedup
-	}
-	if res.Spec.Op == sweep.OpScaled && res.Err == nil {
-		jr.ProcsUsed = res.Scaled.Procs
-		jr.CycleTime = res.Scaled.CycleTime
-		jr.Speedup = res.Scaled.Speedup
-	}
-	if res.Err != nil {
-		if errors.Is(res.Err, sweep.ErrEvaluationPanic) {
-			jr.Error = "internal evaluation error"
-		} else {
-			jr.Error = res.Err.Error()
-		}
-	}
-	return jr
-}
-
 // SweepStats summarizes one sweep's cache interaction.
-type SweepStats struct {
-	Specs     int `json:"specs"`
-	CacheHits int `json:"cache_hits"`
-	Evaluated int `json:"evaluated"`
-	Errors    int `json:"errors"`
-}
-
-// observe counts one result.
-func (st *SweepStats) observe(res *sweep.Result) {
-	st.Specs++
-	switch {
-	case res.Err != nil:
-		st.Errors++
-	case res.CacheHit:
-		st.CacheHits++
-	default:
-		st.Evaluated++
-	}
-}
+type SweepStats = wire.Stats
 
 // SweepResponse is the body of a completed v1 sweep. The hot path
-// encodes this shape through appendSweepResponse; the struct remains
-// for clients and the encoder-identity tests.
+// encodes this shape through wire.AppendSweepResponse; the struct
+// remains for clients and the encoder-identity tests.
 type SweepResponse struct {
 	Results []SweepResultJSON `json:"results"`
 	Stats   SweepStats        `json:"stats"`
@@ -104,7 +56,7 @@ type SweepResponse struct {
 // handleSweep is the v1 synchronous adapter: the batch runs through the
 // same jobs core as v2 — bound to the request context, never retained —
 // and the full response is serialized once into a pooled buffer by the
-// AppendJSON encoder (byte-identical to the old encoding/json output,
+// internal/wire encoder (byte-identical to the old encoding/json output,
 // without its per-result reflection and allocation).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.admitRequest(w, r); !ok {
@@ -132,17 +84,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	var stats SweepStats
 	for i := range results {
-		stats.observe(&results[i])
+		stats.Observe(&results[i])
 	}
 	buf := getBuf()
-	*buf = appendSweepResponse(*buf, results, &stats)
+	*buf = wire.AppendSweepResponse(*buf, results, &stats)
 	s.writeRaw(w, r, http.StatusOK, *buf)
 	putBuf(buf)
 }
 
 // StreamLine is one NDJSON line of POST /v2/sweeps/stream: result lines
 // carry Result; the final line carries Done plus the run's Stats. The
-// wire bytes come from appendStreamResultLine/appendStreamDoneLine.
+// wire bytes come from wire.AppendResultLine/wire.AppendDoneLine.
 type StreamLine struct {
 	Result *SweepResultJSON `json:"result,omitempty"`
 	Done   bool             `json:"done,omitempty"`
@@ -208,9 +160,8 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	for c := range ch {
 		*buf = (*buf)[:0]
 		for i := range c.Results {
-			stats.observe(&c.Results[i])
-			jr := sweepResultJSON(c.Results[i])
-			*buf = appendStreamResultLine(*buf, &jr)
+			stats.Observe(&c.Results[i])
+			*buf = wire.AppendResultLine(*buf, &c.Results[i])
 		}
 		engine.Recycle(c)
 		if _, err := w.Write(*buf); err != nil {
@@ -223,7 +174,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	*buf = appendStreamDoneLine((*buf)[:0], &stats)
+	*buf = wire.AppendDoneLine((*buf)[:0], &stats)
 	if _, err := w.Write(*buf); err != nil {
 		s.logEncodeError(r, err)
 		return

@@ -131,7 +131,7 @@ func TestPersistedCancelSurvivesRestart(t *testing.T) {
 
 	specs := make([]sweep.Spec, 400)
 	for i := range specs {
-		specs[i] = sweep.Spec{Op: sweep.OpOptimizeSnapped, N: 4096 + 8*i, Stencil: "9-point-star", Shape: "square",
+		specs[i] = sweep.Spec{Op: sweep.OpOptimizeSnapped, N: 4096 + 8*i, Stencil: "9-star", Shape: "square",
 			Machine: core.MachineSpec{Type: "mesh"}}
 	}
 	snap, err := js.Submit(jobs.Request{Kind: jobs.KindSweep, Specs: specs})
